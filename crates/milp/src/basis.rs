@@ -104,7 +104,6 @@ pub trait Basis: fmt::Debug {
 
 /// Which [`Basis`] implementation a solve runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BasisKind {
     /// [`DenseInverse`]: the explicit `m × m` inverse (the differential
     /// oracle; `O(m²)` per operation).
@@ -660,6 +659,15 @@ impl Basis for SparseLu {
         for j in 0..m {
             buckets[col_count[j]].push(j);
         }
+        // Per-bucket start of the scan: every entry before `heads[c]` is a
+        // finished column. A finished column never becomes a candidate
+        // again, so skipping that prefix leaves the first valid candidate
+        // of every bucket — and with it the pivot order — unchanged, and a
+        // slack-heavy basis does not rescan thousands of finished count-1
+        // columns at every step. Stale *unfinished* entries stay
+        // where they are: they can become valid again, and their position
+        // decides ties.
+        let mut heads = vec![0usize; m + 1];
 
         let mut rowp = Vec::with_capacity(m);
         let mut colp = Vec::with_capacity(m);
@@ -683,7 +691,11 @@ impl Basis for SparseLu {
             let mut best: Option<(usize, usize, usize, f64)> = None; // (cost, j, i, v)
             let mut examined = 0usize;
             'search: for (count, bucket) in buckets.iter().enumerate().skip(1) {
-                for &j in bucket {
+                let head = &mut heads[count];
+                while bucket.get(*head).is_some_and(|&j| col_done[j]) {
+                    *head += 1;
+                }
+                for &j in &bucket[*head..] {
                     if col_done[j] || col_count[j] != count {
                         continue; // stale bucket entry
                     }
@@ -839,8 +851,10 @@ impl Basis for SparseLu {
 
     fn default_refactor_interval(&self) -> u64 {
         // A denser cadence than the dense inverse: the rebuild is cheap
-        // (near-linear in nnz) and keeps the eta file short; the fill
-        // trigger in `wants_refactor` handles growth between counts.
+        // (the elimination touches only stored nonzeros and the bucket
+        // heads skip finished columns; an `O(m)` walk over empty buckets
+        // remains) and keeps the eta file short; the fill trigger in
+        // `wants_refactor` handles growth between counts.
         128
     }
 

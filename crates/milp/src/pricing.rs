@@ -32,7 +32,6 @@ use std::fmt;
 
 /// Which [`Pricing`] strategy the simplex runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PricingRule {
     /// Full-scan largest-|reduced-cost| ([`DantzigPricing`]).
     Dantzig,

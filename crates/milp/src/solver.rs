@@ -68,7 +68,6 @@ use crate::simplex::{LpOutcome, SimplexSolver, WarmBasis, WarmOutcome};
 /// assert_eq!(opts.threads, Some(4));
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub struct SolveOptions {
     /// Wall-clock budget; `None` means unlimited.
@@ -156,7 +155,6 @@ pub struct SolveOptions {
     ///
     /// Not serialized: an `Instant` is process-local. A wire layer ships
     /// the *remaining* duration and re-stamps on receipt.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub deadline: Option<Instant>,
 }
 

@@ -266,6 +266,117 @@ fn long_pivot_chains_stay_in_agreement() {
     }
 }
 
+/// A slack-heavy random basis shaped like a simplex basis early in
+/// phase 1: at least 90 % of the `m` columns are signed unit (slack)
+/// columns, the rest are structural. The structural columns own the rows
+/// `rows` (whose slacks are not basic) through a guaranteed "diagonal"
+/// entry and may couple to each other there; every structural column also
+/// touches one to three slack rows. Eliminating those slack pivots drops a
+/// structural column's count mid-factorization — to 1 for the columns
+/// with no coupling entries, which then re-enter the count-1 bucket
+/// behind thousands of already finished slack columns. Columns are
+/// shuffled so slacks and structurals interleave in the pivot search.
+fn slack_heavy_basis(rng: &mut Rng, m: usize) -> Vec<SparseCol> {
+    let s = m / 20 + rng.below(m / 20);
+    let mut is_struct_row = vec![false; m];
+    let mut rows: Vec<usize> = Vec::with_capacity(s);
+    while rows.len() < s {
+        let i = rng.below(m);
+        if !is_struct_row[i] {
+            is_struct_row[i] = true;
+            rows.push(i);
+        }
+    }
+    let slack_rows: Vec<usize> = (0..m).filter(|&i| !is_struct_row[i]).collect();
+    let sign = |rng: &mut Rng| if rng.next_f64() < 0.5 { -1.0 } else { 1.0 };
+
+    let mut cols: Vec<SparseCol> = Vec::with_capacity(m);
+    for &i in &slack_rows {
+        cols.push(vec![(i, sign(rng))]);
+    }
+    for (k, &own) in rows.iter().enumerate() {
+        let mut col: SparseCol = vec![(own, sign(rng) * rng.range(1.0, 4.0))];
+        // Half the structurals couple to other structural rows; the rest
+        // keep a single structural-row entry and so fall to count 1 once
+        // their slack rows are eliminated.
+        if k % 2 == 0 {
+            for _ in 0..1 + rng.below(3) {
+                let i = rows[rng.below(s)];
+                if col.iter().all(|&(r, _)| r != i) {
+                    col.push((i, rng.range(-1.0, 1.0)));
+                }
+            }
+        }
+        for _ in 0..1 + rng.below(3) {
+            let i = slack_rows[rng.below(slack_rows.len())];
+            if col.iter().all(|&(r, _)| r != i) {
+                col.push((i, rng.range(-2.0, 2.0)));
+            }
+        }
+        col.sort_unstable_by_key(|&(i, _)| i);
+        cols.push(col);
+    }
+    for j in (1..m).rev() {
+        let k = rng.below(j + 1);
+        cols.swap(j, k);
+    }
+    cols
+}
+
+/// Bases of m ≥ 1000 with ≥ 90 % slack columns — slack-heavy like the
+/// WATERS root LP's bases, far beyond the m ≤ 32 corpora above: the count-1
+/// bucket fills with thousands of finished columns while structural
+/// columns keep re-entering it. Dense and sparse must agree on every
+/// solve, and a dependent structural pair must be rejected by both.
+#[test]
+fn slack_heavy_large_bases_agree() {
+    let mut rng = Rng::new(0x51AC_4EA7);
+    for case in 0..4 {
+        let m = 1000 + rng.below(200);
+        let mut cols = slack_heavy_basis(&mut rng, m);
+        let slacks = cols.iter().filter(|c| c.len() == 1).count();
+        assert!(
+            slacks * 10 >= m * 9,
+            "case {case}: {slacks}/{m} slack columns"
+        );
+        let refs: Vec<&SparseCol> = cols.iter().collect();
+
+        let mut dense = DenseInverse::new();
+        let mut sparse = SparseLu::new();
+        dense.reset(&vec![1.0; m]);
+        sparse.reset(&vec![1.0; m]);
+        assert!(dense.refactorize(&refs), "case {case}: dense refused");
+        assert!(sparse.refactorize(&refs), "case {case}: sparse refused");
+
+        let (mut wd, mut ws) = (vec![0.0; m], vec![0.0; m]);
+        for probe in 0..4 {
+            let a = random_rhs(&mut rng, m);
+            dense.ftran(&a, &mut wd);
+            sparse.ftran(&a, &mut ws);
+            assert_close(&format!("slack case {case} probe {probe} ftran"), &wd, &ws);
+
+            let c = random_rhs(&mut rng, m);
+            dense.btran(&c, &mut wd);
+            sparse.btran(&c, &mut ws);
+            assert_close(&format!("slack case {case} probe {probe} btran"), &wd, &ws);
+        }
+
+        // Singular variant: one structural column becomes a multiple of
+        // another, so the structural block loses rank.
+        let structural: Vec<usize> = (0..m).filter(|&j| cols[j].len() > 1).collect();
+        let a = rng.below(structural.len());
+        let b = (a + 1 + rng.below(structural.len() - 1)) % structural.len();
+        let (src, dst) = (structural[a], structural[b]);
+        let scale = rng.range(0.5, 2.0);
+        cols[dst] = cols[src].iter().map(|&(i, v)| (i, scale * v)).collect();
+        let refs: Vec<&SparseCol> = cols.iter().collect();
+        assert!(!dense.refactorize(&refs), "case {case}: dense accepted");
+        assert!(!sparse.refactorize(&refs), "case {case}: sparse accepted");
+        assert_eq!(dense.refactorizations(), 1);
+        assert_eq!(sparse.refactorizations(), 1);
+    }
+}
+
 /// Singular bases must be rejected by both representations, and the
 /// failed rebuild must leave both in their previous (working) state.
 #[test]

@@ -4,7 +4,6 @@ use std::time::{Duration, Instant};
 
 /// The objective function variants evaluated in §VII of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Objective {
     /// `NO-OBJ`: pure feasibility — stop at the first solution satisfying
     /// Constraints 1–10.
@@ -45,7 +44,6 @@ impl std::fmt::Display for Objective {
 /// assert_eq!(config.objective, Objective::MinTransfers);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub struct OptConfig {
     /// Which objective to optimize.
@@ -127,7 +125,6 @@ pub struct OptConfig {
     ///
     /// Not serialized: an `Instant` is process-local. A wire layer ships
     /// the *remaining* duration and re-stamps on receipt.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub deadline: Option<Instant>,
 }
 

@@ -24,7 +24,6 @@ pub const PROTOCOL: &str = "letdma-serve/1";
 ///
 /// [`Server`]: crate::Server
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -35,7 +34,6 @@ impl fmt::Display for JobId {
 
 /// One solve scenario submitted to the service.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub struct SolveRequest {
     /// The system to allocate and schedule.
@@ -101,7 +99,6 @@ impl SolveRequest {
 /// cache hits replay the recorded formulation/presolve tallies instead of
 /// skipping them silently (pinned by the determinism regression).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 #[non_exhaustive]
 pub struct SolveReport {
     /// Which rung of the degradation ladder produced the solution.
@@ -121,7 +118,6 @@ pub struct SolveReport {
 
 /// The response to one [`SolveRequest`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 #[non_exhaustive]
 pub struct SolveResponse {
     /// Which job this answers.
@@ -141,7 +137,6 @@ impl SolveResponse {
 
 /// Lifecycle of a job inside a [`Server`](crate::Server).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum JobStatus {
     /// Admitted, waiting for a worker.
@@ -157,7 +152,6 @@ pub enum JobStatus {
 
 /// Typed failures of the solve service.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ServeError {
     /// Admission control refused the job: the queue already holds

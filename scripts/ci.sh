@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --workspace --release --offline
 
+echo "== cargo check --all-features =="
+# Every Cargo feature must compile: a feature nobody builds rots silently.
+cargo check --workspace --all-features --offline
+
 echo "== cargo test (LETDMA_THREADS=1, presolve on) =="
 LETDMA_PRESOLVE=1 LETDMA_THREADS=1 cargo test --workspace --quiet --offline
 
